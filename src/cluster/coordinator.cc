@@ -891,7 +891,6 @@ struct Coordinator::Impl {
             std::memcpy(payload.data(), &reply.stats_sum,
                         sizeof(WireStats));
           } else if (reply.op == ControlOp::kMetrics) {
-            MergeLocalClusterMetrics(reply);
             net::EncodeMetricsPayloadTo(reply.metrics, &payload);
             if (payload.size() + 10 > opts.max_frame_bytes) {
               payload.clear();
@@ -910,7 +909,9 @@ struct Coordinator::Impl {
 
   /// Folds the coordinator's own qf_cluster_* series into a kMetrics
   /// rollup, so the coalescing data plane is observable through the same
-  /// fan-out that returns backend metrics (qf_top --connect).
+  /// fan-out that returns backend metrics (qf_top --connect). Called right
+  /// after the fan-out's builder flush: by the time the backends answer,
+  /// the acks have drained the credit ledger and its depth would read 0.
   void MergeLocalClusterMetrics(PendingReply& reply) {
 #if QF_METRICS
     ClusterMetrics::Get();  // ensure the series exist even before traffic
@@ -1296,9 +1297,10 @@ struct Coordinator::Impl {
     c->replies.push_back(reply);
     const int fd = c->fd;
     const uint64_t gen = c->gen;
+    // Control must observe every item this loop already accepted.
+    for (Backend& b : r.backends) FlushCoalesce(r, b);
+    if (req.op == ControlOp::kMetrics) MergeLocalClusterMetrics(*reply);
     for (Backend& b : r.backends) {
-      // Control must observe every item this loop already accepted.
-      FlushCoalesce(r, b);
       if (b.state != BackendState::kReady) {
         reply->failed = true;
         reply->fail_msg = "backend " + opts.backends[b.idx] + " dropped";

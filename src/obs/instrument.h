@@ -223,6 +223,7 @@ struct PipelineMetrics {
   Counter& ring_full_waits;  // dispatcher backpressure stalls
   Counter& worker_spins;     // consumer empty-ring poll rounds
   Counter& worker_parks;     // worker futex sleeps (empty rings, no control)
+  Counter& worker_short_waits;  // waits that skipped the spin→yield ladder
   Counter& producer_parks;   // dispatcher futex sleeps (backpressure)
   Counter& handoff_wakes;    // futex wakes delivered to a parked thread
 
@@ -242,6 +243,9 @@ struct PipelineMetrics {
                        "worker empty-ring poll rounds before parking"),
           r.GetCounter("qf_pipeline_worker_parks_total",
                        "worker futex sleeps on an empty shard"),
+          r.GetCounter("qf_pipeline_worker_short_waits_total",
+                       "worker waits that stopped spinning after the short "
+                       "spin (the previous wait outlasted the full ladder)"),
           r.GetCounter("qf_pipeline_producer_parks_total",
                        "dispatcher futex sleeps under shard backpressure"),
           r.GetCounter("qf_pipeline_handoff_wakes_total",

@@ -39,6 +39,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "common/time.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -133,34 +135,74 @@ class ParkingSpot {
   std::atomic<uint32_t> state_{kAwake};
 };
 
-/// Graduated wait: kSpin polls with CpuRelax, then kYields scheduler
-/// yields, then reports "park now". Reset() after finding work. The
-/// spin/yield budget is deliberately small — parking is cheap (one futex
-/// round trip ≈ 1-2 µs) compared with a core-stealing spin.
+/// Graduated wait: kSpins polls with CpuRelax, then kYields scheduler
+/// yields, then reports "park now". Reset() when the wait ends (work found
+/// or the parked thread woke). The spin/yield budget is deliberately small
+/// — parking is cheap (one futex round trip ≈ 1-2 µs) compared with a
+/// core-stealing spin.
+///
+/// The backoff also remembers how the previous wait went (DESIGN.md
+/// §13.2). Each full ladder times itself on the steady clock, and Reset()
+/// times the wait it ends on the same clock. A wait that outlasted the
+/// ladder means the ladder was wasted, so the next wait parks after only
+/// kShortSpins relaxes; a wait the ladder would have covered restores the
+/// full ladder. A thread that keeps one backoff across waits therefore
+/// stops paying for the ladder while its work arrives in sparse bursts
+/// (open-loop serving) and still spins through the short gaps of a
+/// saturated stream. Both durations come from the same clock, so there is
+/// no time constant to tune.
 class AdaptiveBackoff {
  public:
   static constexpr uint32_t kSpins = 256;
   static constexpr uint32_t kYields = 16;
+  static constexpr uint32_t kShortSpins = 32;
+
+  /// Monotonic nanosecond clock; injectable so tests can drive the rule
+  /// with chosen wait and ladder durations.
+  using Clock = uint64_t (*)();
+
+  explicit AdaptiveBackoff(Clock now_ns = &MonotonicNanos)
+      : now_ns_(now_ns) {}
 
   /// One backoff step. Returns true when the caller should park.
   bool ShouldPark() {
-    if (step_ < kSpins) {
+    if (step_ == 0) wait_start_ns_ = now_ns_();
+    const uint32_t spins = short_ ? kShortSpins : kSpins;
+    const uint32_t yields = short_ ? 0 : kYields;
+    if (step_ < spins) {
       ++step_;
       CpuRelax();
       return false;
     }
-    if (step_ < kSpins + kYields) {
+    if (step_ < spins + yields) {
       ++step_;
       std::this_thread::yield();
       return false;
     }
+    if (step_ == spins + yields) {
+      ++step_;  // the ladder ran out: time it (full ladders only)
+      if (!short_) ladder_ns_ = now_ns_() - wait_start_ns_;
+    }
     return true;
   }
 
-  void Reset() { step_ = 0; }
+  /// Ends the current wait (a no-op if none is open) and picks the next
+  /// wait's ladder.
+  void Reset() {
+    if (step_ == 0) return;
+    step_ = 0;
+    short_ = ladder_ns_ != 0 && now_ns_() - wait_start_ns_ > ladder_ns_;
+  }
+
+  /// True when the next (or current) wait runs the short spin.
+  bool short_ladder() const { return short_; }
 
  private:
+  Clock now_ns_;
   uint32_t step_ = 0;
+  bool short_ = false;
+  uint64_t wait_start_ns_ = 0;
+  uint64_t ladder_ns_ = 0;  // duration of the last full ladder (0 = none)
 };
 
 }  // namespace qf

@@ -24,7 +24,9 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "cluster/topology.h"
@@ -59,6 +61,24 @@ Trace MakeTrace(size_t items, uint64_t seed = 42) {
   return GenerateZipfTrace(o);
 }
 
+/// Polls the coordinator's kTopology until every backend reports kReady.
+bool WaitAllReady(uint16_t coordinator_port) {
+  net::QfClient probe;
+  if (!probe.Connect("127.0.0.1", coordinator_port)) return false;
+  const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
+  while (MonotonicNanos() < deadline) {
+    net::WireTopology topo;
+    if (!probe.FetchTopology(&topo)) return false;
+    bool ready = !topo.backends.empty();
+    for (const net::WireBackend& wb : topo.backends) {
+      if (wb.state != net::BackendState::kReady) ready = false;
+    }
+    if (ready) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 /// A coordinator plus N in-process backends, optionally durable (one
 /// MemStorage per backend, so kill/restart keeps state).
 struct Cluster {
@@ -88,23 +108,7 @@ struct Cluster {
     return coordinator->Start() && WaitReady();
   }
 
-  /// Polls kTopology until every backend reports kReady.
-  bool WaitReady() {
-    net::QfClient probe;
-    if (!probe.Connect("127.0.0.1", coordinator->port())) return false;
-    const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
-    while (MonotonicNanos() < deadline) {
-      net::WireTopology topo;
-      if (!probe.FetchTopology(&topo)) return false;
-      bool ready = !topo.backends.empty();
-      for (const net::WireBackend& wb : topo.backends) {
-        if (wb.state != net::BackendState::kReady) ready = false;
-      }
-      if (ready) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-  }
+  bool WaitReady() { return WaitAllReady(coordinator->port()); }
 
   void StopAll() {
     if (coordinator) coordinator->Stop();
@@ -608,6 +612,124 @@ TEST(ClusterCoalesceE2eTest, SlowBackendBoundsQueuedBytesAndFailsFast) {
   real_backend.Stop();
   stalled.Stop();
 }
+
+#if QF_METRICS
+/// Backends in a forked child process, so the coordinator's registry holds
+/// only its own qf_cluster_* series (in-process backends would snapshot
+/// the coordinator's gauges into their kMetrics replies too). The child
+/// serves until every backend has received kShutdown; the destructor
+/// SIGKILLs it if the test bailed out earlier.
+struct ForkedBackends {
+  pid_t pid = -1;
+  std::vector<uint16_t> ports;
+
+  bool Start(int count) {
+    int fds[2];
+    if (pipe(fds) != 0) return false;
+    pid = fork();
+    if (pid < 0) return false;
+    if (pid == 0) {
+      close(fds[0]);
+      std::vector<std::unique_ptr<net::QfServer>> servers;
+      for (int b = 0; b < count; ++b) {
+        servers.push_back(std::make_unique<net::QfServer>(BackendOptions()));
+        if (!servers.back()->Start()) _exit(11);
+        const uint16_t port = servers.back()->port();
+        if (write(fds[1], &port, sizeof(port)) != sizeof(port)) _exit(12);
+      }
+      close(fds[1]);
+      for (auto& server : servers) server->Wait();
+      _exit(0);
+    }
+    close(fds[1]);
+    for (int b = 0; b < count; ++b) {
+      uint16_t port = 0;
+      if (read(fds[0], &port, sizeof(port)) != sizeof(port)) break;
+      ports.push_back(port);
+    }
+    close(fds[0]);
+    return static_cast<int>(ports.size()) == count;
+  }
+
+  ~ForkedBackends() {
+    if (pid <= 0) return;
+    for (const uint16_t port : ports) {
+      net::QfClient client;
+      if (client.Connect("127.0.0.1", port)) client.Shutdown();
+    }
+    int status = 0;
+    if (waitpid(pid, &status, WNOHANG) == 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+    }
+  }
+};
+
+// One client write carries INGEST then CONTROL kMetrics. The INGEST sits
+// in a coalescing buffer until the kMetrics fan-out flushes it into an
+// unacked backend frame, so the coordinator's own snapshot, taken right
+// after that flush, must show a credit-ledger depth of at least 1 — the
+// backends cannot have acked a frame this reactor has not yet read back.
+// (A snapshot taken when the fan-out completes reads 0: each backend's
+// ack precedes its kMetrics reply on the same connection.)
+TEST(ClusterCoalesceE2eTest, MetricsInTheIngestWriteSeeLedgerDepth) {
+  ForkedBackends backends;
+  ASSERT_TRUE(backends.Start(2));
+  CoordinatorOptions copts;
+  for (const uint16_t port : backends.ports) {
+    copts.backends.push_back("127.0.0.1:" + std::to_string(port));
+  }
+  copts.num_slots = kSlots;
+  Coordinator coordinator(copts);
+  ASSERT_TRUE(coordinator.Start()) << coordinator.error();
+  ASSERT_TRUE(WaitAllReady(coordinator.port()));
+
+  const Trace trace = MakeTrace(500, 9);
+  std::vector<uint8_t> wire;
+  net::EncodeIngestTo(1, trace, &wire);
+  net::EncodeControlTo(2, net::ControlOp::kMetrics, {}, &wire);
+
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(coordinator.port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  net::FrameDecoder decoder;
+  std::vector<net::Frame> frames;
+  uint8_t buf[64 * 1024];
+  while (frames.size() < 2) {
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "coordinator closed before both replies";
+    ASSERT_TRUE(decoder.Append(buf, static_cast<size_t>(n)));
+    net::Frame frame;
+    while (decoder.Next(&frame) == net::FrameDecoder::Result::kFrame) {
+      frames.push_back(frame);
+    }
+  }
+  close(fd);
+  coordinator.Stop();
+
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, net::FrameType::kIngestAck);
+  ASSERT_EQ(frames[1].type, net::FrameType::kControlResult);
+  net::ControlResult cr;
+  ASSERT_TRUE(net::ParseControlResult(frames[1].payload, &cr));
+  ASSERT_EQ(cr.status, net::ControlStatus::kOk);
+  obs::MetricsSnapshot snap;
+  ASSERT_TRUE(net::ParseMetricsPayload(cr.payload, &snap));
+  int64_t depth = -1;
+  for (const obs::GaugeSample& g : snap.gauges) {
+    if (g.name == "qf_cluster_credit_ledger_depth") depth = g.value;
+  }
+  EXPECT_GE(depth, 1);
+}
+#endif
 
 TEST(ClusterClientTest, ConnectTimeoutFailsFast) {
   // An RFC 5737 TEST-NET-1 host that should answer nothing; without the

@@ -265,6 +265,13 @@ TEST(NetMetricsWireTest, LiveServerRoundTripMatchesSinkSnapshot) {
   EXPECT_EQ(find_hist_count(wire, "qf_stage_insert_ns"),
             find_hist_count(local, "qf_stage_insert_ns"));
 
+  // Hand-off counters (§11, §13.2). Each request waited for its reply, so
+  // the six requests took at least six reads (kMetrics counts its own) and
+  // the five replies before the snapshot at least five writes.
+  EXPECT_GE(find_counter(wire, "qf_net_reads_total"), 6);
+  EXPECT_GE(find_counter(wire, "qf_net_writes_total"), 5);
+  EXPECT_GE(find_counter(wire, "qf_pipeline_worker_short_waits_total"), 0);
+
   // And the file snapshot agrees with both.
   std::ifstream in(jsonl);
   std::string line, last;

@@ -176,6 +176,71 @@ TEST(PipelineParkStressTest, FlushFenceChurnAgainstParkedWorkers) {
   pipeline.Stop();
 }
 
+// Producers alternate long and short gaps between bursts while the main
+// thread fences. A long gap lasts until some worker has parked — a wait
+// that outlasted the spin→yield ladder, after which the worker's next wait
+// parks after the short spin; a short gap is none at all, so the next
+// burst lands inside whichever ladder the worker is running. Whatever
+// ladder each wait picks, every item must be processed and every fence
+// must complete (a lost wake hangs the test).
+TEST(PipelineParkStressTest, AlternatingLongAndShortGapsLoseNothing) {
+  constexpr int kProducers = 2;
+  constexpr uint64_t kBursts = 120;
+  constexpr uint64_t kPerBurst = 300;
+  Sharded sharded = MakeSharded(2);
+  Pipeline::Options popts;
+  popts.batch_size = 8;
+  popts.num_producers = kProducers + 1;  // slot 0 fences
+  Pipeline pipeline(sharded, popts);
+  pipeline.Start();
+
+  std::atomic<int> producing{kProducers};
+  std::vector<std::thread> producers;
+  for (int p = 1; p <= kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      uint64_t x = static_cast<uint64_t>(p);
+      for (uint64_t burst = 0; burst < kBursts; ++burst) {
+        for (uint64_t i = 0; i < kPerBurst; ++i) {
+          x = Mix64(x);
+          pipeline.PushFrom(p, x % 4096, static_cast<double>(x % 400));
+        }
+        pipeline.FlushFrom(p);
+        if (burst % 2 == 0) {
+          // Long gap: wait for a park, not for a duration.
+          const uint64_t parks = pipeline.totals().worker_parks;
+          while (pipeline.totals().worker_parks == parks) {
+            std::this_thread::yield();
+          }
+        }
+      }
+      producing.fetch_sub(1, std::memory_order_release);
+    });
+  }
+
+  // Fence once per park, so the fences land on parked and on spinning
+  // workers alike without keeping every worker awake (back-to-back fences
+  // would cut each idle stretch short of the ladder, and no long gap would
+  // ever end).
+  uint64_t fences = 0;
+  while (producing.load(std::memory_order_acquire) > 0) {
+    pipeline.FenceFrom(0);  // hangs iff a worker misses a wake
+    ++fences;
+    const uint64_t parks = pipeline.totals().worker_parks;
+    while (pipeline.totals().worker_parks == parks &&
+           producing.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+  }
+  for (std::thread& t : producers) t.join();
+  pipeline.FenceFrom(0);
+  const Pipeline::Totals totals = pipeline.totals();
+  EXPECT_GE(fences, 1u);
+  EXPECT_EQ(totals.items_dispatched, kProducers * kBursts * kPerBurst);
+  EXPECT_EQ(totals.items_processed, totals.items_dispatched);
+  EXPECT_GE(totals.worker_parks, kBursts / 2);
+  pipeline.Stop();
+}
+
 // Several producers feed disjoint key ranges concurrently; after a global
 // quiesce (every producer flushes) + fence, nothing may be lost or double
 // counted, and per-shard reports must sum to the aggregate.

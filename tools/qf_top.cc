@@ -13,7 +13,8 @@
 //       the full registry over CONTROL kMetrics (QfClient::FetchMetrics)
 //       plus the WireStats counters over CONTROL kStats, and renders both —
 //       including the per-stage qf_stage_* latency histograms, the
-//       qf_durable_* counters, and the wal_* serving stats.
+//       qf_durable_* counters, the wal_* serving stats, and the hand-off
+//       ratios (frames per read, frames per write, short waits per park).
 //   qf_top --check-prom=metrics.prom
 //       Validates a Prometheus text-exposition file (HELP/TYPE and sample
 //       syntax) and prints a family/sample summary. Exit 0 iff valid and
@@ -184,6 +185,36 @@ double HistField(const std::map<std::string, double>& h, const char* key) {
   return it == h.end() ? 0.0 : it->second;
 }
 
+/// Hand-off batching (DESIGN.md §11, §13.2): request frames handled per
+/// socket read, reply and ALERT frames sent per socket write, and the share
+/// of worker parks that skipped the spin ladder. Printed only when the
+/// snapshot carries the serving counters.
+void RenderHandoff(const Parsed& snap) {
+  const auto counter = [&snap](const std::string& name) {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : it->second;
+  };
+  const double reads = counter("qf_net_reads_total");
+  const double writes = counter("qf_net_writes_total");
+  if (reads <= 0.0 && writes <= 0.0) return;
+  double frames_in = 0.0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind("qf_net_frames_total{", 0) == 0) frames_in += value;
+  }
+  const double frames_out =
+      frames_in + counter("qf_net_alerts_streamed_total");
+  const double parks = counter("qf_pipeline_worker_parks_total");
+  const auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
+  std::printf("\n%-44s %12s\n", "HAND-OFF", "ratio");
+  std::printf("%-44s %12.2f\n", "frames per read", ratio(frames_in, reads));
+  std::printf("%-44s %12.2f\n", "frames out per write",
+              ratio(frames_out, writes));
+  std::printf("%-44s %12.2f\n", "worker short waits per park",
+              ratio(counter("qf_pipeline_worker_short_waits_total"), parks));
+}
+
 void Render(const Parsed& snap, const Parsed* prev, const std::string& path,
             bool clear_screen) {
   if (clear_screen) std::printf("\x1b[2J\x1b[H");
@@ -210,6 +241,7 @@ void Render(const Parsed& snap, const Parsed* prev, const std::string& path,
     std::printf("%-44s %12s %10s\n", name.c_str(), Human(value).c_str(),
                 rate.c_str());
   }
+  RenderHandoff(snap);
   if (!snap.gauges.empty()) {
     std::printf("\n%-44s %12s\n", "GAUGE", "value");
     for (const auto& [name, value] : snap.gauges) {
