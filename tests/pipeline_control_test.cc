@@ -7,6 +7,7 @@
 #include "parallel/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -192,6 +193,24 @@ TEST(PipelineControlTest, TinyAlertRingDropsAndCounts) {
   EXPECT_LE(queued, 2 * 4u);
   EXPECT_EQ(totals.alerts_dropped + queued, reports);
   EXPECT_GT(totals.alerts_dropped, 0u);
+}
+
+TEST(PipelineControlTest, OnAlertRingsOncePerQueuedRecord) {
+  const Criteria criteria(30, 0.95, 300);
+  const Trace trace = MakeTrace(300'000);
+  Sharded filter(FilterOptions(), criteria, 2);
+  std::atomic<uint64_t> rings{0};
+  Pipeline::Options popts;
+  popts.alert_ring_records = 4;  // starved: most reports drop
+  popts.on_alert = [&rings] { rings.fetch_add(1, std::memory_order_relaxed); };
+  Pipeline pipeline(filter, popts);
+  const uint64_t reports = pipeline.RunTrace(trace);
+  const Pipeline::Totals totals = pipeline.totals();
+  ASSERT_GT(totals.alerts_dropped, 0u);
+  // The hook announces queued records only: a dropped one has nothing for
+  // the consumer to drain.
+  EXPECT_EQ(rings.load(), reports - totals.alerts_dropped);
+  EXPECT_GT(rings.load(), 0u);
 }
 
 }  // namespace
